@@ -164,10 +164,14 @@ struct CommPolicy {
   // deadline_s * (1 + backoff + backoff^2 + ... + backoff^retries).
   int retries = 3;
   double backoff = 2.0;
-  // When set, ranks publish per-batch liveness counters (Comm::heartbeat)
-  // and a waiter whose retries expired declares the peer dead if its counter
-  // never advanced while waiting — the failure-detector path. Without it an
-  // expired wait is only ever a kTimeout.
+  // When set, ranks publish per-batch progress counters (Comm::heartbeat)
+  // and a waiter whose retries expired declares the peer dead only if it
+  // showed no life while waiting: its counter never advanced AND it was
+  // never inside a bounded recv/finish/barrier (nor unwinding out of one).
+  // A rank blocked in a wait is alive, however long it blocks — two live
+  // ranks starved by a dropped message end in kTimeout, never in a death.
+  // The first declarer wins: a rank already declared dead declares nobody.
+  // Without heartbeats an expired wait is only ever a kTimeout.
   bool heartbeats = false;
   // When set (the default), a scripted kill marks the rank dead immediately
   // and wakes every blocked peer — fail-stop semantics. When cleared the

@@ -37,6 +37,14 @@ constexpr std::uint8_t kAlive = 0;
 constexpr std::uint8_t kExited = 1;
 constexpr std::uint8_t kDead = 2;
 
+// What the failure detector snapshots of a peer when a wait starts: its
+// progress (the per-batch heartbeat) and its wait sequence (odd while the
+// peer is inside a bounded wait, bumped on every entry and exit).
+struct Liveness {
+  std::uint64_t heartbeat = 0;
+  std::uint64_t wait_seq = 0;
+};
+
 // Live-world registry for poison_all_worlds (the watchdog's wedge path).
 // Registration brackets the World lifetime exactly: construct/destruct on the
 // run_world caller's stack.
@@ -48,6 +56,10 @@ void deregister_world(World* world);
 class World {
  public:
   enum class TakeStatus { kOk, kTimeout, kPeerGone, kPoisoned };
+  // Outcome of a failure-detector verdict. Only a declarer that is itself
+  // still alive may declare, and only a peer that is still alive can be
+  // declared: whoever declares first wins.
+  enum class Verdict { kDeclared, kDeclarerGone, kPeerGone };
 
   World(int nranks, const WorldOptions& options)
       : nranks_(nranks),
@@ -57,6 +69,7 @@ class World {
         reduce_slots_(static_cast<std::size_t>(nranks), 0.0),
         life_(static_cast<std::size_t>(nranks)),
         hb_(static_cast<std::size_t>(nranks)),
+        wait_seq_(static_cast<std::size_t>(nranks)),
         arrived_(static_cast<std::size_t>(nranks), 0) {
     register_world(this);
   }
@@ -160,21 +173,58 @@ class World {
     hb_[static_cast<std::size_t>(rank)].store(counter, std::memory_order_release);
   }
 
-  // Records a death for the post-join WorldFailure. Under announce (the
-  // fail-stop model) the rank is also marked gone, which wakes and aborts
-  // every peer blocked on it; a silent death leaves discovery to the
+  // Liveness is not progress: a rank parked in a bounded wait publishes no
+  // heartbeat but is plainly alive. Only the owning rank writes its wait
+  // sequence. enter_wait makes it odd (and always changes it); leave_wait
+  // makes it even again. A wait that throws a CommError deliberately skips
+  // leave_wait: the rank is unwinding, still alive, until run_world marks
+  // it exited. Only bounded waits keep this bookkeeping — the detector
+  // only runs at the end of one.
+  void enter_wait(int rank) {
+    std::atomic<std::uint64_t>& seq = wait_seq_[static_cast<std::size_t>(rank)];
+    seq.store((seq.load(std::memory_order_relaxed) + 1) | 1, std::memory_order_release);
+  }
+  void leave_wait(int rank) {
+    std::atomic<std::uint64_t>& seq = wait_seq_[static_cast<std::size_t>(rank)];
+    const std::uint64_t s = seq.load(std::memory_order_relaxed);
+    if (s & 1) seq.store(s + 1, std::memory_order_release);
+  }
+  Liveness liveness_of(int rank) const {
+    return {heartbeat_of(rank),
+            wait_seq_[static_cast<std::size_t>(rank)].load(std::memory_order_acquire)};
+  }
+  // True if `rank` showed life since `since`: its heartbeat advanced, it
+  // entered or left a bounded wait, or it is inside (or unwinding out of)
+  // one right now. Only a rank showing none of these may be declared dead.
+  bool shows_life(int rank, const Liveness& since) const {
+    const Liveness now = liveness_of(rank);
+    return now.heartbeat != since.heartbeat || now.wait_seq != since.wait_seq ||
+           (now.wait_seq & 1) != 0;
+  }
+
+  // Records a scripted kill for the post-join WorldFailure. Under announce
+  // (the fail-stop model) the rank is also marked gone, which wakes and
+  // aborts every peer blocked on it; a silent death leaves discovery to the
   // heartbeat detector.
   void record_death(int rank, bool announce) {
     {
       std::lock_guard<std::mutex> lock(record_m_);
-      if (std::find(dead_.begin(), dead_.end(), rank) == dead_.end()) dead_.push_back(rank);
+      add_dead(rank);
     }
     if (announce) mark_gone(rank, kDead);
   }
 
-  // The failure detector's verdict: a peer whose heartbeat went stale
-  // through every retry. Same effect as an announced kill.
-  void declare_dead(int rank) { record_death(rank, true); }
+  // The failure detector's verdict on `rank`, issued by `declarer`. Same
+  // effect as an announced kill, but only if both the declarer's own
+  // liveness check and the peer's death transition succeed under one lock:
+  // of two ranks that declare each other, the first wins and the second,
+  // already dead, adds nobody to the dead list.
+  Verdict declare_dead(int declarer, int rank) {
+    std::lock_guard<std::mutex> lock(barrier_m_);
+    const Verdict v = declare_dead_locked(declarer, rank);
+    if (v == Verdict::kDeclared) barrier_cv_.notify_all();
+    return v;
+  }
 
   void mark_exited(int rank) { mark_gone(rank, kExited); }
 
@@ -220,10 +270,11 @@ class World {
       if (poisoned() && !any_gone_) throw_poisoned();
       throw_collective_abort();
     }
-    // Baseline heartbeat snapshot: a missing rank whose counter advances
-    // during our waits is alive (slow), not dead.
-    std::vector<std::uint64_t> hb0(static_cast<std::size_t>(nranks_));
-    for (int r = 0; r < nranks_; ++r) hb0[static_cast<std::size_t>(r)] = heartbeat_of(r);
+    // Baseline liveness snapshot: a missing rank that advances, or sits in
+    // a bounded wait of its own, during our waits is alive, not dead.
+    enter_wait(rank);
+    std::vector<Liveness> since(static_cast<std::size_t>(nranks_));
+    for (int r = 0; r < nranks_; ++r) since[static_cast<std::size_t>(r)] = liveness_of(r);
     double d = pol.deadline_s;
     for (int attempt = 0;; ++attempt) {
       const Clock::time_point deadline =
@@ -231,7 +282,10 @@ class World {
                              std::chrono::duration<double>(d));
       barrier_cv_.wait_until(lock, deadline,
                              [&] { return released() || any_gone_ || poisoned(); });
-      if (released()) return;
+      if (released()) {
+        leave_wait(rank);
+        return;
+      }
       if (poisoned() && !any_gone_) {
         leave_barrier(rank);
         throw_poisoned();
@@ -245,24 +299,31 @@ class World {
         d *= pol.backoff;
         continue;
       }
-      // Out of retries. Declare the missing ranks dead if every one of them
-      // has a stale heartbeat; if any is provably alive this is load skew or
-      // a lost message, and only a timeout can be reported.
+      // Out of retries. Declare the missing ranks dead if none of them
+      // showed life; if any is provably alive (advancing, or blocked in a
+      // wait of its own) this is load skew or a lost message, and only a
+      // timeout can be reported.
       std::vector<int> stale;
-      bool any_advancing = false;
+      bool any_alive = false;
       for (int r = 0; r < nranks_; ++r) {
         const auto ri = static_cast<std::size_t>(r);
         if (arrived_[ri]) continue;
-        if (heartbeat_of(r) != hb0[ri]) {
-          any_advancing = true;
+        if (shows_life(r, since[ri])) {
+          any_alive = true;
         } else {
           stale.push_back(r);
         }
       }
       leave_barrier(rank);
-      if (pol.heartbeats && !any_advancing && !stale.empty()) {
-        for (const int r : stale) declare_dead_locked(r);
+      if (pol.heartbeats && !any_alive && !stale.empty()) {
+        bool declared = false;
+        for (const int r : stale) {
+          if (declare_dead_locked(rank, r) == Verdict::kDeclared) declared = true;
+        }
         barrier_cv_.notify_all();
+        // Nobody declared: this rank was itself declared first, or the
+        // stale ranks left meanwhile — either way the world is short a rank.
+        if (!declared) throw_collective_abort();
         throw CommError(CommErrorKind::kPeerDead, stale.front(), -1,
                         "MiniMPI: barrier declared stale rank(s) dead");
       }
@@ -313,19 +374,28 @@ class World {
     wake_receivers_of(rank);
   }
 
-  // Same as declare_dead but callable while holding barrier_m_ (the barrier
-  // detector path): sets the flags directly instead of re-locking.
-  void declare_dead_locked(int rank) {
+  // declare_dead for a caller already holding barrier_m_ (the barrier
+  // detector path); the caller notifies barrier_cv_. The declarer's own
+  // liveness check, the peer's alive -> dead transition and the dead-list
+  // entry all happen under record_m_, which every verdict takes.
+  Verdict declare_dead_locked(int declarer, int rank) {
     {
       std::lock_guard<std::mutex> lock(record_m_);
-      if (std::find(dead_.begin(), dead_.end(), rank) == dead_.end()) dead_.push_back(rank);
+      if (life_of(declarer) != kAlive) return Verdict::kDeclarerGone;
+      std::uint8_t expected = kAlive;
+      if (!life_[static_cast<std::size_t>(rank)].compare_exchange_strong(
+              expected, kDead, std::memory_order_acq_rel)) {
+        return Verdict::kPeerGone;
+      }
+      add_dead(rank);
     }
-    std::uint8_t expected = kAlive;
-    if (life_[static_cast<std::size_t>(rank)].compare_exchange_strong(
-            expected, kDead, std::memory_order_acq_rel)) {
-      any_gone_ = true;
-      wake_receivers_of(rank);
-    }
+    any_gone_ = true;
+    wake_receivers_of(rank);
+    return Verdict::kDeclared;
+  }
+
+  void add_dead(int rank) {  // record_m_ held
+    if (std::find(dead_.begin(), dead_.end(), rank) == dead_.end()) dead_.push_back(rank);
   }
 
   void wake_receivers_of(int rank) {
@@ -367,6 +437,7 @@ class World {
   std::vector<double> reduce_slots_;
   std::vector<std::atomic<std::uint8_t>> life_;
   std::vector<std::atomic<std::uint64_t>> hb_;
+  std::vector<std::atomic<std::uint64_t>> wait_seq_;  // see enter_wait
 
   std::mutex barrier_m_;
   std::condition_variable barrier_cv_;
@@ -459,28 +530,37 @@ Bytes Comm::recv_deadline(int src, int tag, double deadline_s) {
   }
   const CommPolicy& pol = world_->policy();
   double d = deadline_s;
-  std::uint64_t hb_last = world_->heartbeat_of(src);
-  bool advanced = false;
+  // Every exit below but the successful take leaves this rank's wait open:
+  // a rank unwinding on a CommError still counts as alive to the detector.
+  world_->enter_wait(rank_);
+  const Liveness since = world_->liveness_of(src);
   for (int attempt = 0;; ++attempt) {
     const World::TakeStatus st = world_->take(src, rank_, tag, d, out, wait_ref);
-    if (st == World::TakeStatus::kOk) return out;
+    if (st == World::TakeStatus::kOk) {
+      world_->leave_wait(rank_);
+      return out;
+    }
     if (st == World::TakeStatus::kPoisoned) return throw_poisoned();
     if (st == World::TakeStatus::kPeerGone) return throw_gone();
-    const std::uint64_t hb = world_->heartbeat_of(src);
-    if (hb != hb_last) {
-      advanced = true;
-      hb_last = hb;
-    }
     if (attempt >= pol.retries) {
       std::ostringstream what;
-      if (pol.heartbeats && !advanced) {
-        // Missed-deadline threshold reached and the peer's liveness counter
-        // never moved: the failure detector declares it dead, waking every
-        // other rank blocked on it.
-        world_->declare_dead(src);
-        what << "MiniMPI: rank " << src << " declared dead after " << (attempt + 1)
-             << " missed deadlines on tag " << tag;
-        throw CommError(CommErrorKind::kPeerDead, src, tag, what.str());
+      if (pol.heartbeats && !world_->shows_life(src, since)) {
+        // Missed-deadline threshold reached and the peer neither advanced
+        // nor sat in a wait of its own: the failure detector declares it
+        // dead, waking every other rank blocked on it — unless this rank
+        // was declared first, or the peer left meanwhile.
+        switch (world_->declare_dead(rank_, src)) {
+          case World::Verdict::kDeclared:
+            what << "MiniMPI: rank " << src << " declared dead after " << (attempt + 1)
+                 << " missed deadlines on tag " << tag;
+            throw CommError(CommErrorKind::kPeerDead, src, tag, what.str());
+          case World::Verdict::kDeclarerGone:
+            what << "MiniMPI: rank " << rank_ << " was declared dead and cannot declare rank "
+                 << src;
+            throw CommError(CommErrorKind::kPeerDead, rank_, tag, what.str());
+          case World::Verdict::kPeerGone:
+            return throw_gone();
+        }
       }
       what << "MiniMPI: recv from rank " << src << " tag " << tag << " timed out after "
            << (attempt + 1) << " attempts";
@@ -498,6 +578,9 @@ void Comm::heartbeat(std::uint64_t counter) { world_->set_heartbeat(rank_, count
 void Comm::fault_point(FaultPoint point, std::uint64_t index) {
   FaultPlan* plan = world_->plan();
   if (!plan || !plan->should_kill(rank_, point, index)) return;
+  // A killed rank leaves fn and every wait with it: close a wait a caught
+  // CommError left open, so a silent death reads as dead to the detector.
+  world_->leave_wait(rank_);
   world_->record_death(rank_, world_->policy().announce_death);
   throw RankKilled(rank_, point, index);
 }

@@ -112,17 +112,20 @@ class Comm {
   void send(int dst, Bytes msg, int tag = 0);
   // Blocking receive of the next message from `src` on `tag` (MPI_Recv).
   // Under the world deadline policy this retries with backoff and then
-  // throws a typed CommError: kTimeout if the peer's heartbeat advanced (or
-  // there is no detector), kPeerDead if the failure detector declared it, or
-  // kPeerExited if the peer left the world with nothing queued.
+  // throws a typed CommError: kTimeout if the peer showed life (its
+  // heartbeat advanced, or it sat in a bounded wait of its own) or there is
+  // no detector; kPeerDead if the failure detector declared it (or this
+  // rank was itself declared first — then `peer` is this rank); kPeerExited
+  // if the peer left the world with nothing queued.
   Bytes recv(int src, int tag = 0);
   // Same, with an explicit deadline overriding the world policy (<= 0 blocks
   // forever — but a dead/exited peer still unblocks with a CommError).
   Bytes recv(int src, int tag, double deadline_s);
 
-  // Under the world deadline policy, throws CommError on expiry (a barrier
-  // whose missing ranks have stale heartbeats declares them dead first);
-  // any barrier also aborts when a rank is known dead or departed.
+  // Under the world deadline policy, throws CommError on expiry: kTimeout
+  // if any missing rank showed life, else (with heartbeats) the missing
+  // ranks are declared dead first and kPeerDead is thrown. Any barrier
+  // also aborts when a rank is known dead or departed.
   void barrier();
 
   // Exchanges one buffer with every rank (MPI_Alltoallv): outgoing[d] goes to

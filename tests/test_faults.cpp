@@ -220,11 +220,13 @@ TEST(ElasticRunner, DelayIsAbsorbedByDeadlineRetriesWithoutRecovery) {
 }
 
 TEST(ElasticRunner, DroppedDeliveryFailsLoudlyAndRecovers) {
-  // A dropped record delivery starves a receiver. Depending on who expires
-  // first the detector declares a (live but blocked) rank dead or reports a
-  // plain timeout — either way the world fails LOUDLY, the runner recovers,
-  // and the consumed drop cannot re-fire. The final answer must be bitwise
-  // regardless of which path the race took.
+  // A dropped record delivery starves a receiver: one group blocks in the
+  // record exchange's recv, the other in the next allreduce's barrier.
+  // Neither advances its heartbeat, but both sit inside bounded waits, so
+  // the detector declares neither dead — whichever deadline expires first,
+  // the world fails LOUDLY as a plain timeout, the runner retries the leg at
+  // the same 2-group shape, and the consumed drop cannot re-fire. The final
+  // answer must be bitwise.
   const FaultScene& cell = fault_scenes()[0];
   RunConfig cfg = fault_config(cell.photons);
   cfg.comm.deadline_s = 0.02;

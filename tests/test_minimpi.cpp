@@ -376,6 +376,89 @@ TEST(MiniMpiFaults, SilentDeathIsDeclaredByTheHeartbeatDetector) {
   EXPECT_EQ(kind, CommErrorKind::kPeerDead);
 }
 
+TEST(MiniMpiFaults, DropBetweenTwoBlockedLiveRanksIsATimeoutNotADeath) {
+  // The dropped delivery strands rank 1 in a bounded recv while rank 0 waits
+  // in the barrier for it. Neither heartbeat advances, but both ranks sit in
+  // a wait the whole time: they are alive, so the world must fail as a plain
+  // timeout (which the elastic runner retries at the same shape), not with
+  // either rank — or both — declared dead.
+  FaultPlan plan;
+  plan.add_drop({0, 1, 0, 0});
+  WorldOptions opt;
+  opt.plan = &plan;
+  opt.policy.deadline_s = 0.02;
+  opt.policy.retries = 2;
+  opt.policy.heartbeats = true;
+  try {
+    run_world(2, opt, [&](Comm& comm) {
+      comm.batch_tick(0);
+      if (comm.rank() == 0) {
+        comm.send(1, Bytes(4));  // dropped on the wire
+        comm.barrier();
+      } else {
+        comm.recv(0);
+      }
+      FAIL() << "rank " << comm.rank() << " completed despite the dropped delivery";
+    });
+    FAIL() << "expected WorldFailure";
+  } catch (const WorldFailure& f) {
+    EXPECT_TRUE(f.dead_ranks.empty()) << f.what();
+    EXPECT_TRUE(f.timed_out);
+  }
+}
+
+TEST(MiniMpiFaults, ARankDeclaredDeadCannotDeclareItsPeer) {
+  // Rank 0 stays outside any wait without a heartbeat until rank 1's
+  // detector declares it dead. It then waits on rank 2, which is stale and
+  // outside any wait too — but a rank already declared dead may declare
+  // nobody: rank 2 must not join the dead list.
+  WorldOptions opt;
+  opt.policy.deadline_s = 0.02;
+  opt.policy.retries = 2;
+  opt.policy.heartbeats = true;
+  std::atomic<bool> declared{false};
+  std::atomic<bool> rank0_done{false};
+  CommErrorKind kind = CommErrorKind::kTimeout;
+  int peer = -1;
+  try {
+    run_world(3, opt, [&](Comm& comm) {
+      comm.batch_tick(0);
+      if (comm.rank() == 0) {
+        while (!declared.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        try {
+          comm.recv(2);
+          FAIL() << "recv from a rank that never sends returned";
+        } catch (const CommError& e) {
+          kind = e.kind();
+          peer = e.peer();
+          rank0_done.store(true);
+          throw;
+        }
+        rank0_done.store(true);
+      } else if (comm.rank() == 1) {
+        try {
+          comm.recv(0);
+          FAIL() << "recv from a rank that never sends returned";
+        } catch (const CommError& e) {
+          EXPECT_EQ(e.kind(), CommErrorKind::kPeerDead);
+          EXPECT_EQ(e.peer(), 0);
+          declared.store(true);
+          throw;
+        }
+      } else {
+        while (!rank0_done.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    FAIL() << "expected WorldFailure";
+  } catch (const WorldFailure& f) {
+    ASSERT_EQ(f.dead_ranks.size(), 1u) << f.what();
+    EXPECT_EQ(f.dead_ranks[0], 0);
+  }
+  // Rank 0 unwinds naming itself as the dead rank.
+  EXPECT_EQ(kind, CommErrorKind::kPeerDead);
+  EXPECT_EQ(peer, 0);
+}
+
 TEST(MiniMpiFaults, PeerExitUnblocksUnboundedRecv) {
   CommErrorKind kind = CommErrorKind::kTimeout;
   run_world(2, [&](Comm& comm) {
